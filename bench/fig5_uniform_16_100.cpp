@@ -8,7 +8,6 @@ int main(int argc, char** argv) {
   using namespace jiffy;
   const auto cli = bench::parse_cli(argc, argv);
   bench::run_figure<Key16, Value100>("fig5", "16/100B",
-                                     KeyChooser::Kind::Uniform, cli,
-                                     /*include_kiwi=*/false);
+                                     KeyChooser::Kind::Uniform, cli);
   return 0;
 }

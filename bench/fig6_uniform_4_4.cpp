@@ -9,6 +9,6 @@ int main(int argc, char** argv) {
   using namespace jiffy;
   const auto cli = bench::parse_cli(argc, argv);
   bench::run_figure<FixedBytes<4>, FixedBytes<4>>(
-      "fig6", "4/4B", KeyChooser::Kind::Uniform, cli, /*include_kiwi=*/true);
+      "fig6", "4/4B", KeyChooser::Kind::Uniform, cli);
   return 0;
 }

@@ -726,11 +726,10 @@ inline CliOptions parse_cli(int argc, char** argv) {
 }
 
 // Runs one complete figure: the simple-update row for every index, then the
-// batch rows for the three indices that support atomic batch updates.
+// batch rows for the indices that support atomic batch updates.
 template <class K, class V>
 void run_figure(const char* figure, const char* kv_shape,
-                KeyChooser::Kind dist, const CliOptions& cli,
-                bool include_kiwi) {
+                KeyChooser::Kind dist, const CliOptions& cli) {
 #if defined(__GLIBC__)
   // Oversubscribed single-core boxes: glibc hands each worker its own malloc
   // arena, but revisions are routinely allocated by one thread and freed
@@ -782,28 +781,19 @@ void run_figure(const char* figure, const char* kv_shape,
     if (index_enabled("jiffy")) run_index<K, V, JiffyAdapter<K, V>>(cfg, "jiffy");
     if (index_enabled("lf-list"))
       run_index<K, V, LfListAdapter<K, V>>(cfg, "lf-list");
-    if (index_enabled("k-ary")) run_index<K, V, KaryAdapter<K, V>>(cfg, "k-ary");
-    if (index_enabled("ca-avl"))
-      run_index<K, V, CaAvlAdapter<K, V>>(cfg, "ca-avl");
-    if (index_enabled("ca-sl")) run_index<K, V, CaSlAdapter<K, V>>(cfg, "ca-sl");
-    if (index_enabled("ca-imm"))
-      run_index<K, V, CaImmAdapter<K, V>>(cfg, "ca-imm");
-    if (index_enabled("lfca")) run_index<K, V, LfcaAdapter<K, V>>(cfg, "lfca");
     if (index_enabled("cslm")) run_index<K, V, CslmAdapter<K, V>>(cfg, "cslm");
-    if (include_kiwi && index_enabled("kiwi"))
-      run_index<K, V, KiwiAdapter<K, V>>(cfg, "kiwi");
+    if (index_enabled("locked-map"))
+      run_index<K, V, LockedMapAdapter<K, V>>(cfg, "locked-map");
 
-    // Batch rows: Jiffy vs the lock-based CA trees (Figure middle/bottom).
+    // Batch rows: Jiffy vs the locked-map reference (Figure middle/bottom).
     if (cli.skip_batches) continue;
     for (std::size_t bsz : {std::size_t{10}, std::size_t{100}}) {
       for (bool seq : {true, false}) {
         cfg.batch = BatchMode{bsz, seq};
         if (index_enabled("jiffy"))
           run_index<K, V, JiffyAdapter<K, V>>(cfg, "jiffy");
-        if (index_enabled("ca-avl"))
-          run_index<K, V, CaAvlAdapter<K, V>>(cfg, "ca-avl");
-        if (index_enabled("ca-sl"))
-          run_index<K, V, CaSlAdapter<K, V>>(cfg, "ca-sl");
+        if (index_enabled("locked-map"))
+          run_index<K, V, LockedMapAdapter<K, V>>(cfg, "locked-map");
       }
     }
   }

@@ -13,8 +13,8 @@ cd "$(dirname "$0")/.."
 BUILD_DIR=${BUILD_DIR:-build}
 OUT_DIR=${OUT_DIR:-BENCH_RESULTS}
 EXTRA_ARGS=${EXTRA_ARGS:-}
-# Stub adapters (see baselines/registry.h) measure a locked std::map, not
-# the paper's baselines; sweep only the native indices unless overridden.
+# The lf-list (O(n) searches) and locked-map (one global lock) references
+# stay out of the default sweep (see baselines/registry.h).
 INDICES=${INDICES:-"jiffy cslm"}
 
 for arg in "$@"; do

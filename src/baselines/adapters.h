@@ -3,8 +3,7 @@
 // approx_size, typed atomic-batch apply, forward/reverse bounded scans and
 // a half-open range scan. The harness templates are constrained on MapApi,
 // so adding an index is "make it model the concept" — no per-index special
-// cases. See registry.h for which adapters are native and which still run
-// on the LockedMap stub.
+// cases. registry.h lists the indices by their --index= names.
 #pragma once
 
 #include <concepts>
@@ -142,63 +141,13 @@ class LfListAdapter {
   baselines::LfList<K, V> map_;
 };
 
-// Stub adapters: distinct types (so the harness's per-index template
-// instantiations stay separate in profiles) over the LockedMap stand-in.
-// Replace one by giving it a real `map_` — the harness needs no change.
-template <class K, class V, class Tag>
-class StubAdapter {
- public:
-  using key_type = K;
-  using mapped_type = V;
-
-  bool put(const K& k, const V& v) { return map_.put(k, v); }
-  bool erase(const K& k) { return map_.erase(k); }
-  std::optional<V> get(const K& k) const { return map_.get(k); }
-  bool contains(const K& k) const { return map_.contains(k); }
-  std::size_t approx_size() const { return map_.approx_size(); }
-  void apply(Batch<K, V> b) { map_.apply(std::move(b)); }
-  template <class F>
-  std::size_t scan_n(const K& from, std::size_t n, F&& f) const {
-    return map_.scan_n(from, n, std::forward<F>(f));
-  }
-  template <class F>
-  std::size_t rscan_n(const K& from, std::size_t n, F&& f) const {
-    return map_.rscan_n(from, n, std::forward<F>(f));
-  }
-  template <class F>
-  std::size_t range_scan(const K& lo, const K& hi, F&& f) const {
-    return map_.range_scan(lo, hi, std::forward<F>(f));
-  }
-
- private:
-  baselines::LockedMap<K, V> map_;
-};
-
-namespace baselines::tags {
-struct Kary {};
-struct CaAvl {};
-struct CaSl {};
-struct CaImm {};
-struct Lfca {};
-struct Kiwi {};
-}  // namespace baselines::tags
-
+// The locked-map reference models MapApi as it is.
 template <class K, class V>
-using KaryAdapter = StubAdapter<K, V, baselines::tags::Kary>;
-template <class K, class V>
-using CaAvlAdapter = StubAdapter<K, V, baselines::tags::CaAvl>;
-template <class K, class V>
-using CaSlAdapter = StubAdapter<K, V, baselines::tags::CaSl>;
-template <class K, class V>
-using CaImmAdapter = StubAdapter<K, V, baselines::tags::CaImm>;
-template <class K, class V>
-using LfcaAdapter = StubAdapter<K, V, baselines::tags::Lfca>;
-template <class K, class V>
-using KiwiAdapter = StubAdapter<K, V, baselines::tags::Kiwi>;
+using LockedMapAdapter = baselines::LockedMap<K, V>;
 
 static_assert(MapApi<JiffyAdapter<std::uint64_t, std::uint64_t>>);
 static_assert(MapApi<CslmAdapter<std::uint64_t, std::uint64_t>>);
 static_assert(MapApi<LfListAdapter<std::uint64_t, std::uint64_t>>);
-static_assert(MapApi<KaryAdapter<std::uint64_t, std::uint64_t>>);
+static_assert(MapApi<LockedMapAdapter<std::uint64_t, std::uint64_t>>);
 
 }  // namespace jiffy

@@ -1,10 +1,7 @@
-// Mutex-guarded std::map used as the stand-in implementation behind the
-// paper baselines that have not been ported yet (k-ary, the CA trees, lfca,
-// kiwi; snaptree's slot is now the native lf_list.h). It is sequentially
-// correct — including atomic batches
-// and consistent scans, both trivially, under the lock — but represents a
-// lower bound on concurrency, so its numbers are labelled as stubs by the
-// adapter registry and must not be read as the paper baselines' performance.
+// Mutex-guarded std::map: the `locked-map` reference index. It is
+// sequentially correct — including atomic batches and consistent scans,
+// both trivially, under the lock — and it is a lower bound on concurrency:
+// every call serializes on one mutex. It models MapApi directly.
 #pragma once
 
 #include <cstddef>
@@ -20,6 +17,9 @@ namespace jiffy::baselines {
 template <class K, class V, class Less = std::less<K>>
 class LockedMap {
  public:
+  using key_type = K;
+  using mapped_type = V;
+
   bool put(const K& k, const V& v) {
     std::lock_guard<std::mutex> lk(mu_);
     return map_.insert_or_assign(k, v).second;

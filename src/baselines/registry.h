@@ -1,50 +1,31 @@
-// Compile-time registry of the benchmark indices (paper §4.1).
-//
-// `kind` records how honestly each adapter reproduces the paper baseline:
-//   kNative — a real implementation lives in this tree (jiffy, cslm, and
-//             the lf-list differential reference);
-//   kStub   — compiles and runs behind a LockedMap so every figure harness
-//             links today, but its rows measure the stub, not the paper's
-//             baseline. run_all.sh only sweeps native indices by default
-//             (lf-list stays out of the sweep too: O(n) searches).
-// Porting order for the stubs is tracked in ROADMAP.md.
+// Compile-time registry of the benchmark indices (paper §4.1). Each entry
+// is a real implementation in this tree, named for what it is: jiffy, cslm,
+// the lf-list differential reference and the locked-map reference (a
+// mutexed std::map). run_all.sh sweeps only jiffy and cslm by default
+// (lf-list: O(n) searches; locked-map: one global lock). The paper's other
+// baselines (k-ary, the CA trees, lfca, kiwi) are not ported.
 #pragma once
 
 #include <cstddef>
 
 namespace jiffy::baselines {
 
-enum class AdapterKind { kNative, kStub };
-
 struct AdapterInfo {
   const char* name;        // --index= spelling in the harness
   const char* description;
-  AdapterKind kind;
   bool atomic_batches;     // participates in the batch rows of the figures
   // Every adapter models MapApi (forward/reverse/range scans included); this
   // flag records whether multi-entry reads are snapshot-consistent (Jiffy's
-  // versioned scans, the stubs' global lock) or weakly consistent (CSLM).
+  // versioned scans, locked-map's global lock) or weakly consistent (CSLM).
   bool snapshot_scans;
 };
 
 inline constexpr AdapterInfo kAdapterRegistry[] = {
-    {"jiffy", "this tree's JiffyMap (paper's subject)", AdapterKind::kNative,
-     true, true},
+    {"jiffy", "this tree's JiffyMap (paper's subject)", true, true},
     {"cslm", "lock-free skip list, Herlihy-Shavit style (Java CSLM analogue)",
-     AdapterKind::kNative, false, false},
-    {"lf-list", "Fomitchev-Ruppert lock-free linked list",
-     AdapterKind::kNative, false, false},
-    {"k-ary", "Brown-Helga lock-free k-ary search tree", AdapterKind::kStub,
-     false, true},
-    {"ca-avl", "contention-adapting AVL tree", AdapterKind::kStub, true,
-     true},
-    {"ca-sl", "contention-adapting skip list", AdapterKind::kStub, true,
-     true},
-    {"ca-imm", "CA tree with immutable leaf containers", AdapterKind::kStub,
-     false, true},
-    {"lfca", "lock-free contention-adapting search tree", AdapterKind::kStub,
-     false, true},
-    {"kiwi", "KiWi wait-free-scan key-value map", AdapterKind::kStub, false,
+     false, false},
+    {"lf-list", "Fomitchev-Ruppert lock-free linked list", false, false},
+    {"locked-map", "std::map behind one mutex (reference lower bound)", true,
      true},
 };
 

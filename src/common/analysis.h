@@ -18,8 +18,7 @@
 //     assert_pinned() (the ASSERT_CAPABILITY pattern, like
 //     Mutex::AssertHeld): the RAII constructor is the ground truth and the
 //     assert is placed immediately after construction, or at the top of
-//     methods of classes whose invariant owns a live member token
-//     (Snapshot, SnapCursor, Range).
+//     SnapWalk's methods, whose invariant is a live borrowed ReadPin.
 //
 // The macros are no-ops on non-Clang compilers (GCC builds them out
 // entirely), so the annotations cost nothing in the tier-1 toolchain and are

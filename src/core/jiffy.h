@@ -643,7 +643,44 @@ template <class MapT>
 class Snapshot;
 
 template <class MapT>
-class SnapCursor;
+class SnapWalk;
+
+// What every versioned read holds: an EBR guard (epoch pin: the nodes and
+// revisions it walks stay allocated) and a version ticket (watermark pin:
+// purge() cannot reclaim a tombstone this version still reads), both at one
+// TSC version. A map-level scan pins once on the stack; a Snapshot, a
+// SnapCursor and a Snapshot::Range each own one, and lend it to the
+// SnapWalks they run.
+class ReadPin {
+ public:
+  // Pin the clock's current reading: the engine's one "ticket before clock
+  // read" sequence. Member order is the protocol: ticket_ registers its
+  // "reserving" sentinel before v_'s initializer reads the clock, so the
+  // purge watermark can never slip past the version being pinned.
+  template <class Clock>
+  explicit ReadPin(const Clock& clock) : v_(clock.read()) {
+    ticket_.publish(v_);
+  }
+
+  // Re-pin o's version. o still covers it while this pin registers, so no
+  // clock read (and no watermark race) is involved.
+  ReadPin(const ReadPin& o) : v_(o.v_) { ticket_.publish(v_); }
+
+  ReadPin& operator=(const ReadPin& o) {
+    v_ = o.v_;
+    ticket_.publish(v_);  // guard_ keeps its own pin; re-pin the version
+    return *this;
+  }
+
+  std::uint64_t version() const { return v_; }
+  const ebr::Guard& guard() const { return guard_; }
+  const ebr::VersionTicket& ticket() const { return ticket_; }
+
+ private:
+  ebr::Guard guard_;
+  ebr::VersionTicket ticket_;
+  std::uint64_t v_;
+};
 
 template <class K, class V, class Less = std::less<K>,
           class Hash = std::hash<K>, class Clock = TscClock>
@@ -877,18 +914,13 @@ class JiffyMap {
   // ---- scans and snapshots ------------------------------------------------
 
   // Visit up to `n` entries with key >= from, in order, at one consistent
-  // version. Returns the number visited.
+  // version. Returns the number visited. Like every versioned read, this
+  // is a SnapWalk over one ReadPin.
   template <class F>
   std::size_t scan_n(const K& from, std::size_t n, F&& f) const {
     scaler_.note(/*is_read=*/true, n ? n : 1);
-    ebr::Guard g;
-    g.assert_held();
-    ebr::VersionTicket t;  // sentinel lands before the clock read, so the
-                           // purge watermark cannot pass the pinned version
-    const std::uint64_t v = clock_.read();
-    t.publish(v);
-    t.assert_pinned();
-    return scan_at(from, n, v, std::forward<F>(f), g, t);
+    const ReadPin pin(clock_);
+    return SnapWalk<JiffyMap>(this, pin).scan_n(from, n, f);
   }
 
   // Visit up to `n` entries with key <= from, in descending order, at one
@@ -896,26 +928,16 @@ class JiffyMap {
   template <class F>
   std::size_t rscan_n(const K& from, std::size_t n, F&& f) const {
     scaler_.note(/*is_read=*/true, n ? n : 1);
-    ebr::Guard g;
-    g.assert_held();
-    ebr::VersionTicket t;
-    const std::uint64_t v = clock_.read();
-    t.publish(v);
-    t.assert_pinned();
-    return rscan_at(from, n, v, std::forward<F>(f), g, t);
+    const ReadPin pin(clock_);
+    return SnapWalk<JiffyMap>(this, pin).rscan_n(from, n, f);
   }
 
   // Visit every entry in the half-open range [lo, hi), in order, at one
   // consistent version. Returns the number visited.
   template <class F>
   std::size_t range_scan(const K& lo, const K& hi, F&& f) const {
-    ebr::Guard g;
-    g.assert_held();
-    ebr::VersionTicket t;
-    const std::uint64_t v = clock_.read();
-    t.publish(v);
-    t.assert_pinned();
-    const std::size_t n = range_at(lo, hi, v, std::forward<F>(f), g, t);
+    const ReadPin pin(clock_);
+    const std::size_t n = SnapWalk<JiffyMap>(this, pin).range_scan(lo, hi, f);
     scaler_.note(/*is_read=*/true, n ? n : 1);
     return n;
   }
@@ -1038,8 +1060,7 @@ class JiffyMap {
 
  private:
   friend class Snapshot<JiffyMap>;
-  template <class MapT>
-  friend class SnapCursor;
+  friend class SnapWalk<JiffyMap>;
 
   // ---- location -----------------------------------------------------------
 
@@ -1903,93 +1924,6 @@ class JiffyMap {
     return best;
   }
 
-  // Consistent ordered visit of up to n entries >= from at version v.
-  // Split overlap (an old full revision plus a sibling's copy visible in the
-  // same window) is deduplicated by requiring strictly increasing keys.
-  template <class F>
-  std::size_t scan_at(const K& from, std::size_t n, std::uint64_t v, F&& f,
-                      const ebr::Guard& g, const ebr::VersionTicket& tk) const
-      JIFFY_REQUIRES_GUARD(g) JIFFY_REQUIRES_TICKET(tk) {
-    std::size_t emitted = 0;
-    const K* last = nullptr;
-    for (Node* x = position(from, v, g, tk); x && emitted < n;) {
-      // Foresight: the next node's header miss overlaps this node's
-      // revision-chain walk and entry emission.
-      // relaxed: prefetch address only, never dereferenced; the loop's
-      // paired seq_cst reload below is what the traversal follows.
-      prefetch_ro(x->next[0].load(std::memory_order_relaxed));
-      Rev* head = x->rev.load(std::memory_order_seq_cst);  // pairs: rev-install
-      if (head->sibling) ensure_link(x, head, g);
-      if (Rev* r = visible_rev(head, v, g, tk)) {
-        const Entry* it = r->lower_bound_pos(from, less_);
-        for (; it != r->end() && emitted < n; ++it) {
-          if (last && !less_(*last, it->first)) continue;
-          f(it->first, it->second);
-          last = &it->first;
-          ++emitted;
-        }
-      }
-      x = x->next[0].load(std::memory_order_seq_cst);  // pairs: next-link
-    }
-    return emitted;
-  }
-
-  // Versioned point lookup: invoke f on k's entry at version v, if present
-  // (backs get_at and Snapshot::contains).
-  template <class F>
-  void with_entry_at(const K& k, std::uint64_t v, F&& f, const ebr::Guard& g,
-                     const ebr::VersionTicket& tk) const
-      JIFFY_REQUIRES_GUARD(g) JIFFY_REQUIRES_TICKET(tk) {
-    scan_at(
-        k, 1, v,
-        [&](const K& key, const V& val) {
-          if (!less_(k, key) && !less_(key, k)) f(key, val);
-        },
-        g, tk);
-  }
-
-  std::optional<V> get_at(const K& k, std::uint64_t v, const ebr::Guard& g,
-                          const ebr::VersionTicket& tk) const
-      JIFFY_REQUIRES_GUARD(g) JIFFY_REQUIRES_TICKET(tk) {
-    std::optional<V> out;
-    with_entry_at(
-        k, v, [&](const K&, const V& val) { out = val; }, g, tk);
-    return out;
-  }
-
-  // Consistent descending visit of up to n entries <= from at version v,
-  // driven by the reverse cursor (which walks the backward links).
-  // The guard/ticket parameters witness that v is still covered while the
-  // cursor (which then pins it itself) is constructed.
-  template <class F>
-  std::size_t rscan_at(const K& from, std::size_t n, std::uint64_t v, F&& f,
-                       [[maybe_unused]] const ebr::Guard& g,
-                       [[maybe_unused]] const ebr::VersionTicket& tk) const
-      JIFFY_REQUIRES_GUARD(g) JIFFY_REQUIRES_TICKET(tk) {
-    SnapCursor<JiffyMap> c(this, v);
-    std::size_t emitted = 0;
-    for (c.seek_for_prev(from); c.valid() && emitted < n; c.prev()) {
-      f(c.key(), c.value());
-      ++emitted;
-    }
-    return emitted;
-  }
-
-  // Consistent ordered visit of every entry in [lo, hi) at version v.
-  template <class F>
-  std::size_t range_at(const K& lo, const K& hi, std::uint64_t v, F&& f,
-                       [[maybe_unused]] const ebr::Guard& g,
-                       [[maybe_unused]] const ebr::VersionTicket& tk) const
-      JIFFY_REQUIRES_GUARD(g) JIFFY_REQUIRES_TICKET(tk) {
-    SnapCursor<JiffyMap> c(this, v);
-    std::size_t emitted = 0;
-    for (c.seek(lo); c.in_range_below(hi); c.next()) {
-      f(c.key(), c.value());
-      ++emitted;
-    }
-    return emitted;
-  }
-
   // Nearest node left of x that held its range at version v (nullptr when x
   // is the head). Backward links are hints that only promise a strict list
   // predecessor (see JiffyNode::back), so: follow them to a node alive at
@@ -2153,51 +2087,33 @@ class JiffyMap {
   std::uint64_t purge_epoch_ = 0;
 };
 
-// A bidirectional, RocksDB-style cursor over one consistent version of a
-// JiffyMap. Normally obtained from a Snapshot (seek / seek_for_prev / first
-// / last); constructing one directly requires a version read under a live
-// EBR guard. The cursor holds its own (nested, refcounted) guard, so it
-// remains safe for its whole lifetime provided it is created while the
-// snapshot — or the guard the version was read under — is still alive: the
-// nested guard keeps this thread's epoch pinned continuously.
+// The engine's one ordered traversal: a position in the version-v entry set
+// of a JiffyMap (the union, over level-0 nodes, of each node's newest
+// revision with version <= v), stepped in either direction. Every versioned
+// read runs through it — scans, snapshot point reads, cursors and ranges.
+// A walk borrows the guard and ticket of a ReadPin that must outlive it.
 //
 // Positioning: seek(k) lands on the first key >= k, seek_for_prev(k) on the
 // last key <= k, seek_to_first / seek_to_last on the extremes; next() and
 // prev() then step in either direction. Every landing obeys the TSC-version
-// visibility rules of forward scans: per node the newest revision with
-// version <= v (helping stamp pending plain revisions), nodes born after v
-// or absorbed at v contribute nothing, and the strict key bound on every
-// node hop deduplicates the transient split/merge overlap windows in both
+// visibility rules: per node the newest revision with version <= v
+// (helping stamp pending plain revisions), nodes born after v or absorbed
+// at v contribute nothing, and the strict key bound on every node hop
+// deduplicates the transient split/merge overlap windows in both
 // directions. Reverse hops go through JiffyMap::pred_at (backward links).
 template <class MapT>
-class SnapCursor {
+class SnapWalk {
  public:
   using K = typename MapT::key_type;
   using V = typename MapT::mapped_type;
 
-  // The version must still be covered when a cursor is constructed (by the
-  // snapshot's ticket, or the scan guard+ticket it was read under): the
-  // cursor then pins it with its own ticket, keeping the purge watermark at
-  // or below v_ for the cursor's whole lifetime.
-  SnapCursor(const MapT* m, std::uint64_t version) : map_(m), v_(version) {
-    ticket_.publish(v_);
-  }
+  SnapWalk(const MapT* m, const ReadPin& pin)
+      : map_(m), v_(pin.version()), g_(&pin.guard()), tk_(&pin.ticket()) {}
 
-  SnapCursor(const SnapCursor& o)
-      : map_(o.map_), v_(o.v_), node_(o.node_), rev_(o.rev_), idx_(o.idx_),
-        valid_(o.valid_) {
-    ticket_.publish(v_);
-  }
-
-  SnapCursor& operator=(const SnapCursor& o) {
-    map_ = o.map_;
-    v_ = o.v_;
-    node_ = o.node_;
-    rev_ = o.rev_;
-    idx_ = o.idx_;
-    valid_ = o.valid_;
-    ticket_.publish(v_);  // guard_ keeps its own pin; re-pin the version
-    return *this;
+  // o's position, walked under `pin` (which must pin o's version).
+  SnapWalk(const SnapWalk& o, const ReadPin& pin) : SnapWalk(o) {
+    g_ = &pin.guard();
+    tk_ = &pin.ticket();
   }
 
   bool valid() const { return valid_; }
@@ -2209,7 +2125,6 @@ class SnapCursor {
     assert(valid_);
     return rev_->entry(idx_).second;
   }
-  std::uint64_t version() const { return v_; }
 
   // true while valid and ordered before `hi` — the half-open range test.
   bool in_range_below(const K& hi) const {
@@ -2217,29 +2132,27 @@ class SnapCursor {
   }
 
   void seek(const K& k) {
-    guard_.assert_held();
-    ticket_.assert_pinned();
-    land_forward(map_->position(k, v_, guard_, ticket_), &k,
-                 /*inclusive=*/true);
+    g_->assert_held();
+    tk_->assert_pinned();
+    land_forward(map_->position(k, v_, *g_, *tk_), &k, /*inclusive=*/true);
   }
 
   void seek_for_prev(const K& k) {
-    guard_.assert_held();
-    ticket_.assert_pinned();
-    land_backward(map_->position(k, v_, guard_, ticket_), &k,
-                  /*inclusive=*/true);
+    g_->assert_held();
+    tk_->assert_pinned();
+    land_backward(map_->position(k, v_, *g_, *tk_), &k, /*inclusive=*/true);
   }
 
   void seek_to_first() {
-    guard_.assert_held();
-    ticket_.assert_pinned();
+    g_->assert_held();
+    tk_->assert_pinned();
     land_forward(map_->head_, nullptr, true);
   }
 
   void seek_to_last() {
-    guard_.assert_held();
-    ticket_.assert_pinned();
-    land_backward(map_->rightmost(guard_), nullptr, true);
+    g_->assert_held();
+    tk_->assert_pinned();
+    land_backward(map_->rightmost(*g_), nullptr, true);
   }
 
   void next() {
@@ -2251,8 +2164,8 @@ class SnapCursor {
       ++idx_;
       return;
     }
-    guard_.assert_held();
-    ticket_.assert_pinned();
+    g_->assert_held();
+    tk_->assert_pinned();
     const K cur = key();
     land_forward(node_->next[0].load(std::memory_order_seq_cst),  // pairs: next-link
                  &cur, /*inclusive=*/false);
@@ -2264,10 +2177,10 @@ class SnapCursor {
       --idx_;
       return;
     }
-    guard_.assert_held();
-    ticket_.assert_pinned();
+    g_->assert_held();
+    tk_->assert_pinned();
     const K cur = key();
-    land_backward(map_->pred_at(node_, v_, guard_, ticket_), &cur,
+    land_backward(map_->pred_at(node_, v_, *g_, *tk_), &cur,
                   /*inclusive=*/false);
   }
 
@@ -2275,6 +2188,67 @@ class SnapCursor {
   using Node = typename MapT::Node;
   using Rev = typename MapT::Rev;
   using Entry = typename Rev::Entry;
+  friend MapT;
+  friend class Snapshot<MapT>;
+
+  // Point read: seek(k), then whether it landed on k itself.
+  bool seek_exact(const K& k) {
+    seek(k);
+    return valid_ && !map_->less_(k, key());
+  }
+
+  // The scan loops behind JiffyMap's and Snapshot's scan_n / rscan_n /
+  // range_scan. Within one revision the entries after (before) the
+  // position are its successor (predecessor) keys, so each loop visits a
+  // node's run of entries directly and steps the walk only to hop nodes.
+  // None steps past its last visit.
+  template <class F>
+  std::size_t scan_n(const K& from, std::size_t n, F&& f) {
+    if (n == 0) return 0;
+    std::size_t emitted = 0;
+    for (seek(from); valid_; hop_next())
+      for (const Entry* e = &rev_->entry(idx_); e != rev_->end(); ++e) {
+        f(e->first, e->second);
+        if (++emitted == n) return emitted;
+      }
+    return emitted;
+  }
+
+  template <class F>
+  std::size_t rscan_n(const K& from, std::size_t n, F&& f) {
+    if (n == 0) return 0;
+    std::size_t emitted = 0;
+    for (seek_for_prev(from); valid_; hop_prev())
+      for (const Entry* e = &rev_->entry(idx_) + 1; e != rev_->begin();) {
+        --e;
+        f(e->first, e->second);
+        if (++emitted == n) return emitted;
+      }
+    return emitted;
+  }
+
+  template <class F>
+  std::size_t range_scan(const K& lo, const K& hi, F&& f) {
+    std::size_t emitted = 0;
+    for (seek(lo); valid_; hop_next())
+      for (const Entry* e = &rev_->entry(idx_); e != rev_->end(); ++e) {
+        if (!map_->less_(e->first, hi)) return emitted;
+        f(e->first, e->second);
+        ++emitted;
+      }
+    return emitted;
+  }
+
+  // Step from anywhere in the current node's run to the next (previous)
+  // node's first (last) visible entry.
+  void hop_next() {
+    idx_ = rev_->count - 1;
+    next();
+  }
+  void hop_prev() {
+    idx_ = 0;
+    prev();
+  }
 
   void set(Node* x, Rev* r, std::uint32_t i) {
     node_ = x;
@@ -2284,29 +2258,31 @@ class SnapCursor {
   }
 
   // The node's visible revision at v (completing pending split links first).
-  Rev* visible_head(Node* x) const JIFFY_REQUIRES(guard_, ticket_) {
+  Rev* visible_head(Node* x) const JIFFY_REQUIRES(g_, tk_) {
     Rev* h = x->rev.load(std::memory_order_seq_cst);  // pairs: rev-install
-    if (h->sibling) map_->ensure_link(x, h, guard_);
-    return map_->visible_rev(h, v_, guard_, ticket_);
+    if (h->sibling) map_->ensure_link(x, h, *g_);
+    return map_->visible_rev(h, v_, *g_, *tk_);
   }
 
   // Land on the first visible entry >= *bound (> when !inclusive) in x or
   // any node to its right; invalidate when none exists.
   void land_forward(Node* x, const K* bound, bool inclusive)
-      JIFFY_REQUIRES(guard_, ticket_) {
-    auto el = [this](const Entry& e, const K& k) {
-      return map_->less_(e.first, k);
-    };
+      JIFFY_REQUIRES(g_, tk_) {
     auto le = [this](const K& k, const Entry& e) {
       return map_->less_(k, e.first);
     };
     for (; x;
          x = x->next[0].load(std::memory_order_seq_cst)) {  // pairs: next-link
+      // Foresight: the next node's header miss overlaps this node's
+      // revision-chain walk and the caller's use of the landing.
+      // relaxed: prefetch address only, never dereferenced; the loop's
+      // paired seq_cst reload is what the traversal follows.
+      prefetch_ro(x->next[0].load(std::memory_order_relaxed));
       if (Rev* r = visible_head(x)) {
         std::uint32_t i = 0;
         if (bound) {
           const Entry* it =
-              inclusive ? std::lower_bound(r->begin(), r->end(), *bound, el)
+              inclusive ? r->lower_bound_pos(*bound, map_->less_)
                         : std::upper_bound(r->begin(), r->end(), *bound, le);
           i = static_cast<std::uint32_t>(it - r->begin());
         }
@@ -2322,20 +2298,17 @@ class SnapCursor {
   // Land on the last visible entry <= *bound (< when !inclusive) in x or
   // any node to its left; invalidate when none exists.
   void land_backward(Node* x, const K* bound, bool inclusive)
-      JIFFY_REQUIRES(guard_, ticket_) {
-    auto el = [this](const Entry& e, const K& k) {
-      return map_->less_(e.first, k);
-    };
+      JIFFY_REQUIRES(g_, tk_) {
     auto le = [this](const K& k, const Entry& e) {
       return map_->less_(k, e.first);
     };
-    for (; x; x = map_->pred_at(x, v_, guard_, ticket_)) {
+    for (; x; x = map_->pred_at(x, v_, *g_, *tk_)) {
       if (Rev* r = visible_head(x)) {
         std::uint32_t i = r->count;
         if (bound) {
           const Entry* it =
               inclusive ? std::upper_bound(r->begin(), r->end(), *bound, le)
-                        : std::lower_bound(r->begin(), r->end(), *bound, el);
+                        : r->lower_bound_pos(*bound, map_->less_);
           i = static_cast<std::uint32_t>(it - r->begin());
         }
         if (i > 0) {
@@ -2349,12 +2322,39 @@ class SnapCursor {
 
   const MapT* map_;
   std::uint64_t v_;
-  ebr::Guard guard_;
-  ebr::VersionTicket ticket_;
+  const ebr::Guard* g_;
+  const ebr::VersionTicket* tk_;
   Node* node_ = nullptr;
   Rev* rev_ = nullptr;
   std::uint32_t idx_ = 0;
   bool valid_ = false;
+};
+
+// A bidirectional, RocksDB-style cursor over one consistent version of a
+// JiffyMap, obtained from a Snapshot (seek / seek_for_prev / first / last /
+// cursor). It is a SnapWalk that owns its ReadPin, re-pinned from the
+// snapshot's: the cursor stays safe for its whole lifetime, also after the
+// snapshot is gone (the nested guard keeps this thread's epoch pinned
+// continuously). Copies re-pin the same version.
+template <class MapT>
+class SnapCursor : private ReadPin, public SnapWalk<MapT> {
+ public:
+  // The ReadPin base is constructed before the walk that borrows it.
+  SnapCursor(const SnapCursor& o)
+      : ReadPin(static_cast<const ReadPin&>(o)), SnapWalk<MapT>(o, *this) {}
+
+  SnapCursor& operator=(const SnapCursor& o) {
+    ReadPin::operator=(o);
+    SnapWalk<MapT>::operator=(SnapWalk<MapT>(o, *this));
+    return *this;
+  }
+
+  using ReadPin::version;
+
+ private:
+  friend class Snapshot<MapT>;
+  SnapCursor(const MapT* m, const ReadPin& covering)
+      : ReadPin(covering), SnapWalk<MapT>(m, *this) {}
 };
 
 // A consistent point-in-time view: the first-class handle for versioned
@@ -2362,8 +2362,9 @@ class SnapCursor {
 // backing `version()` stay reachable; keep snapshots short-lived or expect
 // retired garbage to accumulate. Beyond point gets and bounded scans it
 // hands out bidirectional cursors and half-open range views, all reading at
-// the same frozen version. Snapshots and the cursors they produce pin the
-// creating thread's epoch — create cursors while the snapshot is alive.
+// the same frozen version. Its one-shot reads walk under the snapshot's own
+// pin; cursors and ranges re-pin it — create them while the snapshot is
+// alive.
 template <class MapT>
 class Snapshot {
  public:
@@ -2371,73 +2372,55 @@ class Snapshot {
   using V = typename MapT::mapped_type;
   using Cursor = SnapCursor<MapT>;
 
-  // Member order matters: ticket_ registers its "reserving" sentinel before
-  // version_'s initializer reads the clock, so the purge watermark can never
-  // slip past the version this snapshot is about to pin.
-  explicit Snapshot(const MapT* m)
-      : map_(m), version_(m->clock_.read()) {
-    ticket_.publish(version_);
-  }
+  explicit Snapshot(const MapT* m) : map_(m), pin_(m->clock_) {}
 
-  std::uint64_t version() const { return version_; }
+  std::uint64_t version() const { return pin_.version(); }
 
   std::optional<V> get(const K& k) const {
-    guard_.assert_held();  // class invariant: members pin epoch + version
-    ticket_.assert_pinned();
-    return map_->get_at(k, version_, guard_, ticket_);
+    SnapWalk<MapT> w(map_, pin_);
+    if (!w.seek_exact(k)) return std::nullopt;
+    return w.value();
   }
 
   // Membership without materializing the value.
   bool contains(const K& k) const {
-    guard_.assert_held();
-    ticket_.assert_pinned();
-    bool found = false;
-    map_->with_entry_at(
-        k, version_, [&](const K&, const V&) { found = true; }, guard_,
-        ticket_);
-    return found;
+    return SnapWalk<MapT>(map_, pin_).seek_exact(k);
   }
 
   template <class F>
   std::size_t scan_n(const K& from, std::size_t n, F&& f) const {
-    guard_.assert_held();
-    ticket_.assert_pinned();
-    return map_->scan_at(from, n, version_, std::forward<F>(f), guard_,
-                         ticket_);
+    return SnapWalk<MapT>(map_, pin_).scan_n(from, n, f);
   }
 
   template <class F>
   std::size_t rscan_n(const K& from, std::size_t n, F&& f) const {
-    guard_.assert_held();
-    ticket_.assert_pinned();
-    return map_->rscan_at(from, n, version_, std::forward<F>(f), guard_,
-                          ticket_);
+    return SnapWalk<MapT>(map_, pin_).rscan_n(from, n, f);
   }
 
   // ---- cursors ------------------------------------------------------------
 
-  Cursor cursor() const { return Cursor(map_, version_); }  // unpositioned
+  Cursor cursor() const { return Cursor(map_, pin_); }  // unpositioned
 
   Cursor seek(const K& k) const {
-    Cursor c(map_, version_);
+    Cursor c(map_, pin_);
     c.seek(k);
     return c;
   }
 
   Cursor seek_for_prev(const K& k) const {
-    Cursor c(map_, version_);
+    Cursor c(map_, pin_);
     c.seek_for_prev(k);
     return c;
   }
 
   Cursor first() const {
-    Cursor c(map_, version_);
+    Cursor c(map_, pin_);
     c.seek_to_first();
     return c;
   }
 
   Cursor last() const {
-    Cursor c(map_, version_);
+    Cursor c(map_, pin_);
     c.seek_to_last();
     return c;
   }
@@ -2446,66 +2429,57 @@ class Snapshot {
 
   // STL-style forward view of [lo, hi) at the snapshot version:
   //   for (auto [k, v] : snap.range(lo, hi)) ...
-  // Holds its own EBR guard: in C++20 a range-for over
+  // Owns its ReadPin: in C++20 a range-for over
   // `map.snapshot().range(lo, hi)` destroys the Snapshot temporary before
   // begin() runs (temporary lifetime extension in range-for is C++23), so
-  // the view itself must keep the epoch pinned from construction on.
+  // the view itself must keep epoch and version pinned from construction
+  // on. Its iterators walk under the view's pin, so they are valid while
+  // the view is (a range-for keeps it alive).
   class Range {
    public:
     struct Sentinel {};
 
-    Range(const Range& o) : map_(o.map_), v_(o.v_), lo_(o.lo_), hi_(o.hi_) {
-      ticket_.publish(v_);
-    }
-
     class Iterator {
      public:
       std::pair<const K&, const V&> operator*() const {
-        return {c_.key(), c_.value()};
+        return {w_.key(), w_.value()};
       }
       Iterator& operator++() {
-        c_.next();
+        w_.next();
         return *this;
       }
-      bool operator==(Sentinel) const { return !c_.in_range_below(hi_); }
+      bool operator==(Sentinel) const { return !w_.in_range_below(*hi_); }
       bool operator!=(Sentinel s) const { return !(*this == s); }
 
      private:
       friend class Range;
-      Iterator(const MapT* m, std::uint64_t v, const K& lo, const K& hi)
-          : hi_(hi), c_(m, v) {
-        c_.seek(lo);
+      explicit Iterator(const Range& r) : w_(r.map_, r.pin_), hi_(&r.hi_) {
+        w_.seek(r.lo_);
       }
-      K hi_;
-      Cursor c_;
+      SnapWalk<MapT> w_;
+      const K* hi_;
     };
 
-    Iterator begin() const { return Iterator(map_, v_, lo_, hi_); }
+    Iterator begin() const { return Iterator(*this); }
     Sentinel end() const { return Sentinel{}; }
 
    private:
     friend class Snapshot;
-    Range(const MapT* m, std::uint64_t v, K lo, K hi)
-        : map_(m), v_(v), lo_(std::move(lo)), hi_(std::move(hi)) {
-      ticket_.publish(v_);
-    }
+    Range(const MapT* m, const ReadPin& covering, K lo, K hi)
+        : map_(m), pin_(covering), lo_(std::move(lo)), hi_(std::move(hi)) {}
     const MapT* map_;
-    std::uint64_t v_;
-    ebr::Guard guard_;  // the view outlives the Snapshot temporary in C++20
-    ebr::VersionTicket ticket_;  // range-for, so it pins epoch and version
+    ReadPin pin_;
     K lo_;
     K hi_;
   };
 
   Range range(const K& lo, const K& hi) const {
-    return Range(map_, version_, lo, hi);
+    return Range(map_, pin_, lo, hi);
   }
 
  private:
   const MapT* map_;
-  ebr::Guard guard_;
-  ebr::VersionTicket ticket_;
-  std::uint64_t version_;
+  ReadPin pin_;
 };
 
 }  // namespace jiffy

@@ -57,8 +57,10 @@ inline constexpr std::uint64_t kIdleEpoch = ~0ull;
 // cadence bounds the steady-state hoard at roughly 3x the period per thread
 // (one period of growth per scheduler round, freed two epochs later) while
 // keeping scheduling slices long enough that the cache-warmth lost to each
-// context switch stays amortized. kLimboPressure keeps the valve dormant in
-// same-epoch steady state, where collect() empties buckets near 128 items.
+// context switch stays amortized. kLimboPressure keeps the valve quiet while
+// the epoch advances steadily, where collect() empties buckets near 128
+// items. It is not dormant at threads <= cores: the 4-writer benchmark
+// workloads on 4 cores donate 1.2-2.0 times per 1000 updates.
 inline constexpr std::size_t kLimboPressure = 96;
 inline constexpr std::size_t kValvePeriod = 64;
 
@@ -226,8 +228,8 @@ class JIFFY_CAPABILITY("ebr_guard") Guard {
   Guard& operator=(const Guard&) = delete;
 
   // Tells the thread-safety analysis this guard is live. Call immediately
-  // after construction, or from a method whose class invariant owns a live
-  // member guard (Snapshot, SnapCursor). The constructor is the ground
+  // after construction, or from a method whose class invariant holds a live
+  // guard (SnapWalk, through its ReadPin). The constructor is the ground
   // truth; this is the trust boundary of the ASSERT_CAPABILITY pattern.
   void assert_held() const JIFFY_ASSERT_CAPABILITY(this) {}
 
@@ -264,8 +266,9 @@ inline void retire_fn(void* p, void (*deleter)(void*)) {
     // the bucket passes the threshold with the epoch stuck, donate the rest
     // of the quantum: the peer finishes its operation, re-pins at the
     // current epoch, and the retried advance lets collect() free the hoard.
-    // With threads <= cores the epoch advances on its own and the valve
-    // stays dormant; it is a scheduling hint only, never a wait, so
+    // It fires at threads <= cores too (a peer stalled inside its guard
+    // stalls the epoch there as well), but rarely; BENCH_RESULTS/README.md
+    // has the A/B. It is a scheduling hint only, never a wait, so
     // lock-freedom is unaffected.
     rec->retires_since_valve += 64;
     if (bucket.size() >= kLimboPressure && now == e &&

@@ -1,6 +1,6 @@
 // Unit checks for the supporting subsystems: clocks, RNG + distributions,
 // key/value codecs, FixedBytes ordering, revision builder + hash index,
-// the thread-local block cache, EBR, and the CSLM + LockedMap baselines
+// the thread-local block cache, EBR, and the CSLM + locked-map baselines
 // (sequential and a short 4-thread shake for the CSLM).
 #include <atomic>
 #include <cstdint>
@@ -257,18 +257,20 @@ void test_cslm() {
   for (std::uint64_t k = 0; k < 64; ++k) CHECK_EQ(*m.get(k), k);
 }
 
-void test_locked_map_stub() {
-  KaryAdapter<std::uint64_t, std::uint64_t> m;
+void test_locked_map() {
+  LockedMapAdapter<std::uint64_t, std::uint64_t> m;
   shake_map_interface(m);
-  CHECK(baselines::adapter_info("k-ary") != nullptr);
-  CHECK(baselines::adapter_info("k-ary")->kind ==
-        baselines::AdapterKind::kStub);
-  CHECK(baselines::adapter_info("jiffy")->kind ==
-        baselines::AdapterKind::kNative);
-  CHECK(baselines::adapter_info("lf-list")->kind ==
-        baselines::AdapterKind::kNative);
-  CHECK(baselines::adapter_info("snaptree") == nullptr);  // replaced
+  const baselines::AdapterInfo* info = baselines::adapter_info("locked-map");
+  CHECK(info != nullptr);
+  CHECK(info->atomic_batches && info->snapshot_scans);
+  CHECK(baselines::adapter_info("jiffy") != nullptr);
+  CHECK(baselines::adapter_info("cslm") != nullptr);
+  CHECK(baselines::adapter_info("lf-list") != nullptr);
+  for (const char* gone : {"k-ary", "ca-avl", "ca-sl", "ca-imm", "lfca",
+                           "kiwi", "snaptree"})  // unported paper baselines
+    CHECK(baselines::adapter_info(gone) == nullptr);
   CHECK(baselines::adapter_info("nope") == nullptr);
+  CHECK_EQ(baselines::kAdapterCount, 4u);
 }
 
 }  // namespace
@@ -281,7 +283,7 @@ int main() {
   test_block_cache();
   test_ebr();
   test_cslm();
-  test_locked_map_stub();
+  test_locked_map();
   std::puts("test_components OK");
   return 0;
 }

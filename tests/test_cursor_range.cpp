@@ -7,8 +7,12 @@
 //     range view equals the forward sequence clipped to [lo, hi);
 //   * snapshot stability while iterating backward: a Snapshot re-walked
 //     backward gives identical results while the map mutates underneath;
+//   * Snapshot::contains / get at a frozen version agree with the oracle
+//     for present and absent keys and for keys erased, re-put or inserted
+//     after the snapshot was taken;
 //   * the MapApi surface (contains / approx_size / rscan_n / range_scan) on
-//     the Jiffy, CSLM and stub adapters against the same oracle.
+//     the Jiffy, CSLM, lf-list and locked-map adapters against the same
+//     oracle.
 // 1 writer + 3 readers where concurrent, so the TSan preset drives 4-way
 // races.
 #include <atomic>
@@ -198,6 +202,36 @@ void test_cursor_oracle(const JiffyConfig& cfg) {
            ++it, ++checked)
         CHECK(rsc[checked] == *it);
       CHECK(checked == want.size() || rsc.size() >= want.size());
+    }
+
+    // Point reads at the frozen version: erase some present keys, re-put
+    // others with new values and insert absent ones on the live map, then
+    // contains/get through `s` must still answer with the state at `s`.
+    const std::map<std::uint64_t, std::uint64_t> frozen = oracle;
+    std::vector<std::uint64_t> probes;
+    for (int i = 0; i < 60; ++i) {
+      const std::uint64_t k = splitmix64(rng.next_below(kSpace));
+      probes.push_back(k);
+      probes.push_back(k + 1);  // almost surely absent
+      if (!oracle.count(k)) {
+        m.put(k, i);  // inserted after the snapshot
+        oracle[k] = i;
+      } else if (i % 2) {
+        m.erase(k);  // erased after the snapshot
+        oracle.erase(k);
+      } else {
+        m.put(k, ~oracle[k]);  // re-put after the snapshot
+        oracle[k] = ~oracle[k];
+      }
+    }
+    for (const auto& [k, v] : frozen) probes.push_back(k);
+    for (std::uint64_t k : probes) {
+      const auto it = frozen.find(k);
+      CHECK_EQ(s.contains(k), it != frozen.end());
+      const std::optional<std::uint64_t> got = s.get(k);
+      CHECK_EQ(got.has_value(), it != frozen.end());
+      if (got) CHECK_EQ(*got, it->second);
+      CHECK_EQ(m.contains(k), oracle.count(k) == 1);
     }
   }
 }
@@ -418,8 +452,8 @@ int main() {
   check_adapter_surface<CslmAdapter<std::uint64_t, std::uint64_t>>("cslm");
   check_adapter_surface<LfListAdapter<std::uint64_t, std::uint64_t>>(
       "lf-list");
-  check_adapter_surface<KaryAdapter<std::uint64_t, std::uint64_t>>(
-      "k-ary(stub)");
+  check_adapter_surface<LockedMapAdapter<std::uint64_t, std::uint64_t>>(
+      "locked-map");
   std::puts("test_cursor_range OK");
   return 0;
 }

@@ -27,12 +27,15 @@ reported as WARNINGS:
   pre-existing at the ISSUE-9 seed (fig10 b100_rand already ran 0.65x at
   2 threads before any of this work) and a different mechanism from the
   per-op cacheline and allocator contention the hard gate protects
-  (ROADMAP item). The ISSUE-10 counters MEASURED the long-suspected
-  helping-replay-duplication explanation and refuted it: across the
-  b10/b100 x seq/rand x 1/2/4-thread sweep, replay_group_duplicated is
-  <= 0.03% of installed groups (typically 0-5 of tens of thousands), so
-  rebuilt group work is noise — the deficit is descriptor coordination
-  plus oversubscription, not duplicated rebuilds.
+  (ROADMAP item). The replay counters measure the long-suspected
+  helping-replay duplication. On a 1-core container it was <= 0.03% of
+  installed groups across the b10/b100 x seq/rand x 1/2/4-thread sweep,
+  since helpers there almost never overlap. On 4 cores it is not noise:
+  batch_snapshot's traced run counted 40.3M duplicated against 32.4M
+  claimed groups (replay_dup_ratio 1.25), and fig6 a_update at 4 threads
+  measured 1.17-1.20x duplicated per claimed group for b10_rand and
+  2.4-2.5x for b100_rand. Duplicated rebuilds are part of the deficit
+  there, next to descriptor coordination.
 
 --metrics=<file> (repeatable) points at the harness's --metrics JSON dump
 (schema jiffy-metrics-v1, src/obs/counters.h). When the dump covers a

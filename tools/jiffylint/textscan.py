@@ -30,7 +30,7 @@ UNLINK_MACRO_RE = re.compile(r"\bJIFFY_LINT_UNLINK\s*\(\s*([a-z0-9-]+)\s*\)")
 
 # Local RAII guard construction. Members follow the `name_` convention and
 # are excluded (a member guard is a class invariant, not a lexical scope;
-# SnapCursor/Snapshot document theirs via JIFFY_REQUIRES(guard_, ...)).
+# SnapWalk documents its borrowed one via JIFFY_REQUIRES(g_, tk_)).
 GUARD_LOCAL_RE = re.compile(r"\bebr::Guard\s+(\w+)\s*[;({]")
 REQUIRES_RE = re.compile(r"\bJIFFY_REQUIRES(?:_GUARD)?\s*\(\s*(\w+)")
 GUARD_PARAM_RE = re.compile(r"ebr::Guard\s*&\s*(\w+)")
